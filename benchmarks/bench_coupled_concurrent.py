@@ -2,9 +2,9 @@
 
 Times the same trajectory twice — serially (one thread stepping
 ``FoamModel.coupled_step``) and concurrently on disjoint rank pools
-(2 atmosphere + 1 coupler + 1 ocean) — and checks the calibrated event
-simulator's prediction of the pool-split speedup against the functional
-measurement.  On the GIL-bound simulated-MPI substrate the functional
+(2 atmosphere ranks, rank 0 also coupling, + 1 ocean) — and checks the
+calibrated event simulator's prediction of the pool-split speedup against
+the functional measurement.  On the GIL-bound simulated-MPI substrate the functional
 "speedup" at test-config size is typically *below* 1 (the replicated
 spectral work is serialized by the interpreter); the acceptance bar is
 that the calibrated prediction tracks the functional number within 25 %,

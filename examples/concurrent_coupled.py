@@ -2,10 +2,10 @@
 """Concurrent coupled execution on disjoint rank pools (ISSUE 5 demo).
 
 Runs the same coupled trajectory twice — serially and split across an
-atmosphere pool, a dedicated coupler rank, and an ocean pool on the
-simulated-MPI layer — verifies the float64 trajectories are bitwise
-identical, and prints the overlap/wait accounting plus the calibrated
-event-simulator prediction of the pool-split speedup.
+atmosphere pool (whose rank 0 also runs the coupler, as in the paper) and
+one ocean rank on the simulated-MPI layer — verifies the float64
+trajectories are bitwise identical, and prints the overlap/wait accounting
+plus the calibrated event-simulator prediction of the pool-split speedup.
 
 Run:  python examples/concurrent_coupled.py --atm-ranks 2 --ocn-ranks 1 --days 1
 """
@@ -32,9 +32,11 @@ from repro.perf.report import format_waits
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--atm-ranks", type=int, default=2,
-                        help="atmosphere-pool ranks (default: 2)")
+                        help="atmosphere-pool ranks; rank 0 also runs the "
+                             "coupler (default: 2)")
     parser.add_argument("--ocn-ranks", type=int, default=1,
-                        help="ocean-pool ranks (default: 1)")
+                        help="ocean ranks; must be 1: the ocean call is not "
+                             "decomposed, so extra ranks would only idle")
     parser.add_argument("--days", type=float, default=1.0,
                         help="simulated days (default: 1)")
     args = parser.parse_args()
@@ -42,9 +44,8 @@ def main() -> None:
     cfg = test_config()
     layout = PoolLayout(n_atm=args.atm_ranks, n_ocn=args.ocn_ranks)
     nsteps = max(1, int(round(args.days * 86400.0 / cfg.atm_dt)))
-    print(f"pool layout: atm ranks {list(layout.atm_ranks)}, coupler rank "
-          f"{layout.cpl_rank}, ocean ranks {list(layout.ocn_ranks)}  "
-          f"({nsteps} steps)")
+    print(f"pool layout: atm ranks {list(layout.atm_ranks)} (coupler on "
+          f"rank 0), ocean rank {layout.ocn_leader}  ({nsteps} steps)")
 
     # Serial reference, profiled.
     model = FoamModel(cfg)

@@ -330,8 +330,8 @@ class FoamModel:
         ``sw_sfc``/``lw_down`` are the radiation outputs of the physics
         step; the turbulent pieces of the net surface flux come from
         ``turb["atm"]`` (the very arrays physics passed through via
-        ``external_fluxes``), so the coupler rank needs no flux arrays back
-        from the atmosphere pool beyond precip and radiation.
+        ``external_fluxes``), so a banded atmosphere pool only needs to
+        gather precip and radiation back for the coupler.
         """
         t_sfc_atm = surface.t_sfc
         net_sfc = (sw_sfc + lw_down

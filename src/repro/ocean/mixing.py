@@ -139,5 +139,6 @@ def convective_adjustment(temp: np.ndarray, salt: np.ndarray,
             t[k + 1] = np.where(unstable, t_mix, t[k + 1])
             s[k] = np.where(unstable, s_mix, s[k])
             s[k + 1] = np.where(unstable, s_mix, s[k + 1])
-            rho = density_anomaly(t, s, 0.0)
+            # The EOS is elementwise: only the mixed pair's density changed.
+            rho[k:k + 2] = density_anomaly(t[k:k + 2], s[k:k + 2], 0.0)
     return t, s

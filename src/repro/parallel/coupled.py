@@ -2,26 +2,29 @@
 
 FOAM's headline throughput comes from running the atmosphere and ocean
 *simultaneously* on disjoint processor pools, with a lightweight coupler
-overlapping the ocean's 6-hour integration under the next atmosphere
-steps.  This module makes that schedule functional on the simulated-MPI
-layer: :func:`run_concurrent_coupled` splits the world into
+inside the atmosphere's processes and the ocean's 6-hour integration
+overlapped under the next atmosphere steps.  This module makes that
+schedule functional on the simulated-MPI layer:
+:func:`run_concurrent_coupled` splits the world into
 
 * an **atmosphere pool** (``layout.n_atm`` ranks) holding a replicated
   spectral state: each rank runs column physics on its own latitude band
   (physics is column-local, so bands are bitwise rows of the full-grid
   run), allgathers the band tendencies inside the pool, and redundantly
-  applies the cheap spectral update + dynamics;
-* a **coupler rank** owning the land/hydrology/river/ice state and the
-  ocean-forcing accumulator, exchanging only overlap-grid payloads with
-  both pools via tagged sends;
-* an **ocean pool** (``layout.n_ocn`` ranks; the leader computes) running
-  the 6-hour ocean call *under* the atmosphere's boundary-step dynamics
-  and the next step's diagnostics — the coupler asks for the fresh SST
-  lazily, right before the first step that needs it.
+  applies the cheap spectral update + dynamics.  The pool **leader**
+  (atmosphere rank 0) is also the coupler: it owns the land/hydrology/
+  river/ice state and the ocean-forcing accumulator, merges the surface
+  and broadcasts it to the rest of its pool each step;
+* an **ocean rank** running the 6-hour ocean call *under* the
+  atmosphere's boundary-step dynamics and the next step's diagnostics —
+  the leader asks for the fresh SST lazily, right before the first
+  surface merge that needs it.
 
-The exchange epochs are exactly the serial :meth:`FoamModel.coupled_step`
-ones, so the float64 trajectory is bitwise comparable to the serial run
-(the equivalence tests assert array equality, not just 1e-12 closeness).
+The only world-level messages are the forcing (leader -> ocean) and the
+SST (ocean -> leader), once per coupling window.  The exchange epochs are
+exactly the serial :meth:`FoamModel.coupled_step` ones, so the float64
+trajectory is bitwise comparable to the serial run (the equivalence tests
+assert array equality, not just 1e-12 closeness).
 
 Per-rank :class:`~repro.perf.profiler.RunProfile` s (recorded through
 ``thread_profiler``) merge into one profile whose measured section costs
@@ -42,18 +45,19 @@ from repro.parallel.simmpi import CommStats, SimComm, resolve_substrate, run_ran
 from repro.perf.profiler import Profiler, RunProfile, merge_profiles, thread_profiler
 
 # Coupler exchange tags (world-communicator context).
-TAG_ATM_STATE = 210    # atm leader -> coupler: bottom-level state fields
-TAG_SURFACE = 211      # coupler -> every atm rank: surface state + fluxes
-TAG_ATM_PHYS = 212     # atm leader -> coupler: precip + surface radiation
-TAG_FORCING = 213      # coupler -> ocean leader: window-mean forcing
-TAG_SST = 214          # ocean leader -> coupler: fresh SST after each call
+TAG_FORCING = 213      # atm leader -> ocean: window-mean forcing
+TAG_SST = 214          # ocean -> atm leader: fresh SST after each call
 
-_POOL_COLORS = {"atm": 0, "cpl": 1, "ocn": 2}
+_POOL_COLORS = {"atm": 0, "ocn": 1}
 
 
 @dataclass(frozen=True)
 class PoolLayout:
-    """World layout: ranks [0, n_atm) atmosphere, n_atm coupler, rest ocean."""
+    """World layout: ranks [0, n_atm) atmosphere (rank 0 couples), then ocean.
+
+    The ocean call is not decomposed, so the ocean pool is exactly one
+    rank: more would only idle.
+    """
 
     n_atm: int = 2
     n_ocn: int = 1
@@ -61,34 +65,31 @@ class PoolLayout:
     def __post_init__(self):
         if self.n_atm < 1:
             raise ValueError(f"need >= 1 atmosphere rank, got {self.n_atm}")
-        if self.n_ocn < 1:
-            raise ValueError(f"need >= 1 ocean rank, got {self.n_ocn}")
+        if self.n_ocn != 1:
+            raise ValueError(
+                f"need exactly 1 ocean rank, got {self.n_ocn}: the ocean "
+                f"call runs undecomposed on one rank, so extra ocean ranks "
+                f"would only idle")
 
     @property
     def world_size(self) -> int:
-        return self.n_atm + 1 + self.n_ocn
+        return self.n_atm + self.n_ocn
 
     @property
     def atm_ranks(self) -> tuple[int, ...]:
         return tuple(range(self.n_atm))
 
     @property
-    def cpl_rank(self) -> int:
-        return self.n_atm
-
-    @property
     def ocn_ranks(self) -> tuple[int, ...]:
-        return tuple(range(self.n_atm + 1, self.n_atm + 1 + self.n_ocn))
+        return tuple(range(self.n_atm, self.n_atm + self.n_ocn))
 
     @property
     def ocn_leader(self) -> int:
-        return self.n_atm + 1
+        return self.n_atm
 
     def role_of(self, rank: int) -> str:
         if rank < self.n_atm:
             return "atm"
-        if rank == self.cpl_rank:
-            return "cpl"
         if rank in self.ocn_ranks:
             return "ocn"
         raise ValueError(f"rank {rank} outside world of size {self.world_size}")
@@ -98,7 +99,7 @@ class PoolLayout:
 class ConcurrentCoupledResult:
     """Everything a concurrent coupled run produced, assembled world-side."""
 
-    state: object                      # FoamState (atm from pool, ocn/cpl owners)
+    state: object                      # FoamState (atm + cpl from rank 0, ocn)
     nsteps: int
     layout: PoolLayout
     wall_seconds: float                # max per-rank loop wall (post-barrier)
@@ -111,9 +112,11 @@ class ConcurrentCoupledResult:
     acc: object | None = None          # coupler-side OceanForcing accumulator
     acc_steps: int = 0
     sst: np.ndarray | None = None      # SST the coupler last held
-    workspaces: list = field(default_factory=list)   # per-rank arenas (strong refs)
+    # Per-rank arenas (strong refs), thread substrate only: forked ranks'
+    # arenas live in their own address spaces and are never shipped back.
+    workspaces: list = field(default_factory=list)
     ws_stats: list[dict] = field(default_factory=list)
-    ocean_busy_seconds: float = 0.0    # time the ocean leader spent computing
+    ocean_busy_seconds: float = 0.0    # time the ocean rank spent computing
     overlap_seconds: float = 0.0       # ocean busy time hidden under atm work
     substrate: str = "thread"          # communicator substrate the run used
 
@@ -125,16 +128,22 @@ class ConcurrentCoupledResult:
         return self.overlap_seconds / self.ocean_busy_seconds
 
 
-def _timed_recv(comm: SimComm, source: int, tag: int,
-                waits: dict, key: str):
+def _timed(waits: dict, key: str, recv, *args):
+    """Call the blocking ``recv(*args)``, charging its wall to ``waits[key]``."""
     t0 = time.perf_counter()
-    payload = comm.recv(source, tag)
+    payload = recv(*args)
     waits[key] = waits.get(key, 0.0) + (time.perf_counter() - t0)
     return payload
 
 
 def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
-    """One atmosphere-pool rank: band physics + replicated spectral state."""
+    """One atmosphere-pool rank; the leader also runs the coupler.
+
+    The leader follows :meth:`FoamModel.coupled_step`'s order: surface
+    merge, physics, forcing accumulation, then the ocean hand-off *before*
+    the dynamics, so the ocean call overlaps this step's dynamics and the
+    next step's diagnostics.
+    """
     from repro.atmosphere.physics import SurfaceState
     from repro.core.foam import FoamState
 
@@ -142,22 +151,35 @@ def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
     dt = cfg.atm_dt
     lo, hi = block_bounds(cfg.atm_nlat, layout.n_atm, pool.rank)
     leader = pool.rank == 0
-    cpl = layout.cpl_rank
+    ocn = layout.ocn_leader
     ocean_mask = ~model.coupler.atm_land_mask
+    cpl_state, sst = state.coupler, None
+    pending_sst = leader       # the ocean sends its initial SST first
 
     for _ in range(nsteps):
         curr = state.atm_curr
         diag = model.atm_diagnose(curr)
         if leader:
-            comm.send({"t_air": diag.temp[-1], "t_air2": diag.temp[-2],
-                       "q_air": curr.q[-1], "u_air": diag.u[-1],
-                       "v_air": diag.v[-1], "ps": diag.ps},
-                      cpl, TAG_ATM_STATE)
-        sfc = _timed_recv(comm, cpl, TAG_SURFACE, waits, "surface")
-        surface = SurfaceState(t_sfc=sfc["t_sfc"], albedo=sfc["albedo"],
-                               wetness=sfc["wetness"], z0=sfc["z0"],
-                               ocean_mask=ocean_mask)
-        phys = model.atm_physics(diag, curr.q, surface, sfc["fluxes"],
+            if pending_sst:
+                # Lazily collect the overlapped ocean call's SST: this is the
+                # first merge that consumes it, so the recv lands as late as
+                # the serial exchange epochs allow.
+                sst = _timed(waits, "sst", comm.recv, ocn, TAG_SST)
+                pending_sst = False
+            surface, turb = model.merge_surface(
+                cpl_state, sst, t_air=diag.temp[-1], q_air=curr.q[-1],
+                u_air=diag.u[-1], v_air=diag.v[-1], ps=diag.ps)
+            fluxes = turb["atm"]
+            pool.bcast({"t_sfc": surface.t_sfc, "albedo": surface.albedo,
+                        "wetness": surface.wetness, "z0": surface.z0,
+                        "fluxes": fluxes})
+        else:
+            sfc = _timed(waits, "surface", pool.bcast, None)
+            surface = SurfaceState(t_sfc=sfc["t_sfc"], albedo=sfc["albedo"],
+                                   wetness=sfc["wetness"], z0=sfc["z0"],
+                                   ocean_mask=ocean_mask)
+            fluxes = sfc["fluxes"]
+        phys = model.atm_physics(diag, curr.q, surface, fluxes,
                                  time=state.time, rows=(lo, hi))
         band = {"dtdt": phys.dtdt, "dudt": phys.dudt, "dvdt": phys.dvdt,
                 "dqdt": phys.dqdt,
@@ -169,90 +191,53 @@ def _atm_worker(comm, pool, layout, model, state, nsteps, waits):
         full = {key: np.concatenate([p[key] for p in parts],
                                     axis=parts[0][key].ndim - 2)
                 for key in band}
-        if leader:
-            # Ship the coupler's inputs *before* the spectral update and
-            # dynamics: land/river/regrid work overlaps them every step.
-            comm.send({"precip": full["precip"], "sw_sfc": full["sw_sfc"],
-                       "lw_down": full["lw_down"]}, cpl, TAG_ATM_PHYS)
         new_curr = model.atm_apply_tendencies(
             curr, full["dtdt"], full["dudt"], full["dvdt"], full["dqdt"])
+        if leader:
+            cpl_state, _diags = model.accumulate_forcing(
+                cpl_state, turb, surface, precip=full["precip"],
+                sw_sfc=full["sw_sfc"], lw_down=full["lw_down"],
+                t_low1=diag.temp[-1], t_low2=diag.temp[-2], dt=dt)
+            if model.coupling_due():
+                cpl_state, forcing = model.ocean_forcing(
+                    cpl_state, sst, t_air_bot=diag.temp[-1])
+                comm.send({"taux": forcing.taux, "tauy": forcing.tauy,
+                           "heat": forcing.heat_flux,
+                           "fresh": forcing.freshwater}, ocn, TAG_FORCING)
+                pending_sst = True
         new_prev, new_next = model.atm_dynamics(state.atm_prev, new_curr)
         state = FoamState(atm_prev=new_prev, atm_curr=new_next,
-                          ocean=state.ocean, coupler=state.coupler,
+                          ocean=state.ocean, coupler=cpl_state,
                           time=state.time + dt)
-    return {"atm_prev": state.atm_prev, "atm_curr": state.atm_curr,
-            "time": state.time}
-
-
-def _cpl_worker(comm, pool, layout, model, state, nsteps, waits):
-    """The coupler rank: owns land/river/ice state + the forcing window."""
-    cfg = model.config
-    dt = cfg.atm_dt
-    atm_leader = layout.atm_ranks[0]
-    ocn_leader = layout.ocn_leader
-    cpl_state = state.coupler
-
-    # Initial SST (the serial run reads it straight off the initial ocean).
-    sst = _timed_recv(comm, ocn_leader, TAG_SST, waits, "sst")
-    pending_sst = False
-    for _ in range(nsteps):
-        st = _timed_recv(comm, atm_leader, TAG_ATM_STATE, waits, "atm_state")
-        if pending_sst:
-            # Lazily collect the overlapped ocean call's SST: this is the
-            # first step that consumes it, so the recv lands as late as the
-            # serial exchange epochs allow.
-            sst = _timed_recv(comm, ocn_leader, TAG_SST, waits, "sst")
-            pending_sst = False
-        surface, turb = model.merge_surface(
-            cpl_state, sst, t_air=st["t_air"], q_air=st["q_air"],
-            u_air=st["u_air"], v_air=st["v_air"], ps=st["ps"])
-        payload = {"t_sfc": surface.t_sfc, "albedo": surface.albedo,
-                   "wetness": surface.wetness, "z0": surface.z0,
-                   "fluxes": turb["atm"]}
-        for r in layout.atm_ranks:
-            comm.send(payload, r, TAG_SURFACE)
-        ph = _timed_recv(comm, atm_leader, TAG_ATM_PHYS, waits, "atm_phys")
-        # Land/rivers/regrid run here while the atm pool is inside its
-        # spectral update + dynamics — the every-step overlap.
-        cpl_state, _diags = model.accumulate_forcing(
-            cpl_state, turb, surface, precip=ph["precip"],
-            sw_sfc=ph["sw_sfc"], lw_down=ph["lw_down"],
-            t_low1=st["t_air"], t_low2=st["t_air2"], dt=dt)
-        if model.coupling_due():
-            cpl_state, forcing = model.ocean_forcing(cpl_state, sst,
-                                                     t_air_bot=st["t_air"])
-            comm.send({"taux": forcing.taux, "tauy": forcing.tauy,
-                       "heat": forcing.heat_flux, "fresh": forcing.freshwater},
-                      ocn_leader, TAG_FORCING)
-            pending_sst = True
+    if not leader:
+        return {}
     if pending_sst:  # drain the final overlapped call
-        sst = _timed_recv(comm, ocn_leader, TAG_SST, waits, "sst")
-    return {"coupler": cpl_state, "sst": sst, "acc": model._acc,
-            "acc_steps": model._acc_steps}
+        sst = _timed(waits, "sst", comm.recv, ocn, TAG_SST)
+    return {"atm_prev": state.atm_prev, "atm_curr": state.atm_curr,
+            "time": state.time, "coupler": cpl_state, "sst": sst,
+            "acc": model._acc, "acc_steps": model._acc_steps}
 
 
 def _ocn_worker(comm, pool, layout, model, state, nsteps, waits):
-    """Ocean-pool rank: the leader integrates; extra ranks idle (ROADMAP)."""
+    """The ocean rank: one 6-hour call per forcing window from the leader."""
     from repro.ocean.model import OceanForcing
 
     cfg = model.config
-    cpl = layout.cpl_rank
+    atm_leader = layout.atm_ranks[0]
     ocean_state = state.ocean
     busy = 0.0
-    if pool.rank == 0:
-        comm.send(model.ocean.sst(ocean_state), cpl, TAG_SST)
-        n_calls = nsteps // cfg.atm_steps_per_coupling
-        for _ in range(n_calls):
-            f = _timed_recv(comm, cpl, TAG_FORCING, waits, "forcing")
-            forcing = OceanForcing(f["taux"], f["tauy"], f["heat"], f["fresh"])
-            t0 = time.perf_counter()
-            ocean_state = model.ocean_advance(ocean_state, forcing)
-            busy += time.perf_counter() - t0
-            comm.send(model.ocean.sst(ocean_state), cpl, TAG_SST)
+    comm.send(model.ocean.sst(ocean_state), atm_leader, TAG_SST)
+    for _ in range(nsteps // cfg.atm_steps_per_coupling):
+        f = _timed(waits, "forcing", comm.recv, atm_leader, TAG_FORCING)
+        forcing = OceanForcing(f["taux"], f["tauy"], f["heat"], f["fresh"])
+        t0 = time.perf_counter()
+        ocean_state = model.ocean_advance(ocean_state, forcing)
+        busy += time.perf_counter() - t0
+        comm.send(model.ocean.sst(ocean_state), atm_leader, TAG_SST)
     return {"ocean": ocean_state, "ocean_busy": busy}
 
 
-_WORKERS = {"atm": _atm_worker, "cpl": _cpl_worker, "ocn": _ocn_worker}
+_WORKERS = {"atm": _atm_worker, "ocn": _ocn_worker}
 
 
 def run_concurrent_coupled(config=None, *, days: float = 1.0,
@@ -272,8 +257,8 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
 
     ``substrate`` picks the communicator implementation ("thread" or
     "process"; default follows ``FOAM_COMM``).  On the process substrate
-    each pool rank is a forked OS process, so ``--atm-ranks``/``--ocn-ranks``
-    buy real multi-core wall-clock instead of GIL-interleaved threads.
+    each rank is a forked OS process, so ``--atm-ranks`` buys real
+    multi-core wall-clock instead of GIL-interleaved threads.
 
     ``initial_state`` starts the run from an existing :class:`FoamState`
     (the run harness passes checkpointed or segment-boundary states here)
@@ -299,6 +284,8 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
     # to the (pytest-lowered) default, so long runs don't false-timeout.
     tmo = timeout if timeout is not None else max(60.0, 2.0 * nsteps)
 
+    substrate = resolve_substrate(substrate)
+
     def worker(comm: SimComm):
         role = layout.role_of(comm.rank)
         pool = comm.split(_POOL_COLORS[role])
@@ -316,9 +303,10 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
                                  waits)
         wall = time.perf_counter() - t0
         ws = get_workspace()
+        if substrate == "thread":
+            out["workspace"] = ws      # for arenas_disjoint checks
         out.update(
             rank=comm.rank, role=role, wall=wall, waits=waits,
-            workspace=ws,
             ws_stats={"rank": comm.rank, "role": role, "hits": ws.hits,
                       "misses": ws.misses, "buffers": len(ws),
                       "nbytes": ws.nbytes},
@@ -329,15 +317,13 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
                      if profile else None))
         return out
 
-    substrate = resolve_substrate(substrate)
     results = run_ranks(layout.world_size, worker, timeout=tmo,
                         substrate=substrate)
 
     atm0 = results[layout.atm_ranks[0]]
-    cplr = results[layout.cpl_rank]
     ocn0 = results[layout.ocn_leader]
     state = FoamState(atm_prev=atm0["atm_prev"], atm_curr=atm0["atm_curr"],
-                      ocean=ocn0["ocean"], coupler=cplr["coupler"],
+                      ocean=ocn0["ocean"], coupler=atm0["coupler"],
                       time=atm0["time"])
 
     waits: dict[str, float] = {}
@@ -349,13 +335,13 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
     if profiles:
         merged = merge_profiles(
             profiles,
-            label=(f"concurrent coupled ({layout.n_atm} atm + 1 cpl + "
+            label=(f"concurrent coupled ({layout.n_atm} atm + "
                    f"{layout.n_ocn} ocn ranks), {nsteps} steps"),
             meta={"layout": {"n_atm": layout.n_atm, "n_ocn": layout.n_ocn},
                   "nsteps": nsteps, "atm_dt": cfg.atm_dt,
                   "dtype": cfg.dtype_policy.name, "waits": dict(waits)})
     ocean_busy = ocn0["ocean_busy"]
-    sst_wait = cplr["waits"].get("sst", 0.0)
+    sst_wait = atm0["waits"].get("sst", 0.0)
     return ConcurrentCoupledResult(
         state=state, nsteps=nsteps, layout=layout,
         wall_seconds=max(r["wall"] for r in results),
@@ -365,8 +351,8 @@ def run_concurrent_coupled(config=None, *, days: float = 1.0,
                     for r in results],
         profile=merged, profiles=profiles,
         comm_stats=[r["stats"] for r in results],
-        acc=cplr["acc"], acc_steps=cplr["acc_steps"], sst=cplr["sst"],
-        workspaces=[r["workspace"] for r in results],
+        acc=atm0["acc"], acc_steps=atm0["acc_steps"], sst=atm0["sst"],
+        workspaces=[r["workspace"] for r in results if "workspace" in r],
         ws_stats=[r["ws_stats"] for r in results],
         ocean_busy_seconds=ocean_busy,
         overlap_seconds=max(0.0, ocean_busy - sst_wait),

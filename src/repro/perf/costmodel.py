@@ -199,11 +199,6 @@ class MeasuredCosts:
     ocean_call_seconds: float        # one long (coupling-interval) ocean call
     transpose_seconds: float = 0.0   # forward+backward spectral transpose/step
     dynamics_seconds: float = 0.0    # dynamics slice of a step (overlap window)
-    # Coupler work on the atmosphere's critical path even when the coupler
-    # runs on its own rank (surface merge + turbulent fluxes: the atmosphere
-    # cannot start physics without their result).  None = not separately
-    # measured; the simulator then estimates exposure from overlap_seconds.
-    coupler_exposed_seconds: float | None = None
     item_bytes: float = 8.0          # bytes/real of the profiled run's dtype
     source: str = "profile"
 
@@ -289,10 +284,10 @@ def calibrate_concurrent_from_profile(profile, n_atm_ranks: int) -> MeasuredCost
     ``profile`` comes from :func:`repro.perf.profiler.merge_profiles` over the
     per-rank profiles of a :func:`repro.parallel.coupled.run_concurrent_coupled`
     run: section times are summed across the atmosphere-pool ranks (which each
-    execute the replicated spectral work plus a latitude band of physics), the
-    coupler rank, and the ocean rank.  The normalisations undo that summation
-    so the event simulator's usual "divide across ranks" convention recovers
-    per-rank elapsed time:
+    execute the replicated spectral work plus a latitude band of physics; rank
+    0 also runs the coupler) and the ocean rank.  The normalisations undo
+    that summation so the event simulator's usual "divide across ranks"
+    convention recovers per-rank elapsed time:
 
     * ``step_seconds`` is the all-ranks total per step (summed ``atmosphere``
       minus radiation, over ``steps``); the simulator divides it by the rank
@@ -302,13 +297,12 @@ def calibrate_concurrent_from_profile(profile, n_atm_ranks: int) -> MeasuredCost
       step time;
     * radiation is band-decomposed, so its summed cost per radiation step is
       ``rad_incl * n_atm_ranks / rad_calls``;
-    * ``coupler_seconds`` is the dedicated coupler rank's full per-step cost
-      (use ``coupler_offloaded=True`` in the simulator so it is charged as
-      overlap-hidden work, not divided across atmosphere ranks), and
-      ``coupler_exposed_seconds`` is its serially-dependent slice
-      (``merge_surface`` + ``fluxes``), which stays on the critical path;
+    * the coupler runs on atmosphere rank 0 alone, on the pool's critical
+      path (the other ranks wait for its surface broadcast), so
+      ``coupler_seconds`` is its per-step cost times ``n_atm_ranks``: the
+      simulator's divide-across-ranks then charges the full cost every step;
     * ``dynamics_seconds`` is the per-rank dynamics slice — the window the
-      concurrent schedule hides coupler/ocean work under (pass it as
+      concurrent schedule hides the ocean call under (pass it as
       ``overlap_seconds``);
     * there is no distributed transpose in the concurrent driver (spectral
       state is replicated), so ``transpose_seconds`` stays zero.
@@ -337,16 +331,13 @@ def calibrate_concurrent_from_profile(profile, n_atm_ranks: int) -> MeasuredCost
             "profile contains no ocean call; run at least one coupling "
             "interval (ocean_coupling_interval of simulated time)")
 
-    exposed = (profile.total_inclusive("coupler/merge_surface")
-               + profile.total_inclusive("coupler/fluxes")) / steps
-
     return MeasuredCosts(
         step_seconds=step_seconds,
         radiation_step_seconds=radiation_step_seconds,
-        coupler_seconds=profile.total_inclusive("coupler") / steps,
+        coupler_seconds=(profile.total_inclusive("coupler") * n_atm_ranks
+                         / steps),
         ocean_call_seconds=profile.total_inclusive("ocean") / n_ocean,
         transpose_seconds=0.0,
         dynamics_seconds=profile.total_inclusive("atmosphere/dynamics") / dyn_calls,
-        coupler_exposed_seconds=exposed,
         item_bytes=_profile_item_bytes(profile),
         source=profile.label or "concurrent-profile")

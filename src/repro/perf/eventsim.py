@@ -89,7 +89,6 @@ def simulate_coupled_day(n_atm_ranks: int, n_ocn_ranks: int = 1,
                          transpose_comm=None,
                          measured: MeasuredCosts | None = None,
                          schedule: str = "lagged",
-                         coupler_offloaded: bool = False,
                          overlap_seconds: float = 0.0) -> SimulationResult:
     """Simulate one coupled simulated day; returns traces + throughput.
 
@@ -110,20 +109,19 @@ def simulate_coupled_day(n_atm_ranks: int, n_ocn_ranks: int = 1,
     ``SimulationResult.per_step_costs`` either way.
 
     The concurrent-coupled schedule of ``repro.parallel.coupled`` is modeled
-    by three knobs:
+    by two knobs:
 
     * ``schedule="sync"`` — the coupler consumes the ocean's SST at the step
       right after each boundary (instead of one full coupling interval later,
       the classic FOAM "lagged" schedule), so only ``overlap_seconds`` of the
       ocean call is hidden under atmosphere compute; the remainder is charged
       as an atmosphere wait at the boundary.
-    * ``coupler_offloaded=True`` — coupler work runs on a dedicated rank
-      concurrently with the atmosphere; only the part exceeding
-      ``overlap_seconds`` is exposed on the atmosphere's critical path
-      (instead of dividing the coupler across atmosphere ranks).
     * ``overlap_seconds`` — the per-step window of atmosphere compute that
-      concurrent coupler/ocean work can hide under (calibrate it from a
-      measured ``MeasuredCosts.dynamics_seconds``).
+      concurrent ocean work can hide under (calibrate it from a measured
+      ``MeasuredCosts.dynamics_seconds``).
+
+    The coupler runs on the atmosphere ranks, as in the paper: the
+    simulator divides its per-step cost across them.
     """
     if schedule not in ("lagged", "sync"):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -161,18 +159,7 @@ def simulate_coupled_day(n_atm_ranks: int, n_ocn_ranks: int = 1,
         step_seconds = machine.compute_time(atm.step_ops(radiation=False))
         radiation_step_seconds = machine.compute_time(atm.step_ops(radiation=True))
         ocean_call_seconds = machine.compute_time(ocn.call_ops())
-    if coupler_offloaded:
-        # Dedicated coupler rank: the serially-dependent slice (measured as
-        # coupler_exposed_seconds when available) stays on the atmosphere's
-        # clock; the rest hides under the overlap window.
-        exposed = getattr(measured, "coupler_exposed_seconds", None) \
-            if measured is not None else None
-        if exposed is not None:
-            coupler_time = exposed
-        else:
-            coupler_time = max(0.0, coupler_full - overlap_seconds)
-    else:
-        coupler_time = coupler_full / n_atm_ranks
+    coupler_time = coupler_full / n_atm_ranks
     if measured is not None and (measured.transpose_seconds > 0.0
                                  or schedule == "sync"):
         # A sync-schedule (concurrent) run replicates spectral state instead
@@ -188,8 +175,6 @@ def simulate_coupled_day(n_atm_ranks: int, n_ocn_ranks: int = 1,
         "step_seconds": step_seconds,
         "radiation_step_seconds": radiation_step_seconds,
         "coupler_seconds": coupler_full,
-        "coupler_exposed_seconds": (coupler_time if coupler_offloaded
-                                    else coupler_full),
         "transpose_seconds": transpose_time,
         "ocean_call_seconds": ocean_call_seconds,
         "schedule": schedule,
@@ -340,8 +325,8 @@ def predict_concurrent_speedup(serial: MeasuredCosts,
     :func:`repro.perf.costmodel.calibrate_concurrent_from_profile` over the
     merged per-rank profiles of a ``run_concurrent_coupled`` run.  Both runs
     are replayed on the event simulator (the serial one inline on one rank,
-    the concurrent one with the sync schedule, an offloaded coupler, and the
-    measured per-step dynamics window as the overlap budget) and the ratio of
+    the concurrent one with the sync schedule and the measured per-step
+    dynamics window as the overlap budget) and the ratio of
     the simulated walls is the predicted speedup —  compared against the
     functional walls by ``benchmarks/bench_coupled_concurrent.py``.
 
@@ -354,7 +339,6 @@ def predict_concurrent_speedup(serial: MeasuredCosts,
     concurrent_sim = simulate_coupled_day(
         n_atm_ranks, n_ocn_ranks, machine=machine, atm=atm, ocn=ocn, cpl=cpl,
         imbalance=0.0, measured=concurrent, schedule="sync",
-        coupler_offloaded=True,
         overlap_seconds=concurrent.dynamics_seconds)
     return {
         "serial_wall_seconds": serial_sim.wall_seconds,

@@ -11,8 +11,9 @@ between the real Python components and the modeled 1997 machine::
     PYTHONPATH=src python -m repro.perf.report --load profile.json
     PYTHONPATH=src python -m repro.perf.report --atm-ranks 2 --ocn-ranks 1
 
-With ``--atm-ranks``/``--ocn-ranks`` the run executes *concurrently* on
-disjoint rank pools (:func:`repro.parallel.coupled.run_concurrent_coupled`);
+With ``--atm-ranks`` the run executes *concurrently* on an atmosphere
+pool, whose rank 0 also runs the coupler, beside one ocean rank
+(:func:`repro.parallel.coupled.run_concurrent_coupled`);
 the table is then the merged per-rank profile, followed by the blocking-wait
 summary and the concurrent calibration
 (:func:`repro.perf.costmodel.calibrate_concurrent_from_profile`).
@@ -221,13 +222,11 @@ def format_concurrent_calibration(profile: RunProfile, n_atm: int) -> str:
         "calibrated concurrent-schedule costs (summed-rank seconds):",
         f"  ordinary atmosphere step  {mc.step_seconds:12.6f}",
         f"  radiation atmosphere step {mc.radiation_step_seconds:12.6f}",
-        f"  coupler per step          {mc.coupler_seconds:12.6f}"
-        f"  (exposed {mc.coupler_exposed_seconds:.6f})",
+        f"  coupler per step          {mc.coupler_seconds:12.6f}",
         f"  dynamics overlap window   {mc.dynamics_seconds:12.6f}",
         f"  ocean call                {mc.ocean_call_seconds:12.6f}",
         "feed these into simulate_coupled_day(..., measured=..., "
-        "schedule='sync', coupler_offloaded=True) or "
-        "predict_concurrent_speedup(...).",
+        "schedule='sync') or predict_concurrent_speedup(...).",
     ]
     return "\n".join(lines)
 
@@ -282,10 +281,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="hide sections below this share of total time")
     parser.add_argument("--atm-ranks", type=int, default=None, metavar="N",
                         help="run concurrently with N atmosphere-pool ranks "
-                             "(adds a dedicated coupler rank)")
+                             "(rank 0 also runs the coupler)")
     parser.add_argument("--ocn-ranks", type=int, default=1, metavar="N",
-                        help="ocean-pool ranks for --atm-ranks mode "
-                             "(default: 1)")
+                        help="ocean ranks for --atm-ranks mode; must be 1: "
+                             "the ocean call is not decomposed, so extra "
+                             "ranks would only idle")
     parser.add_argument("--substrate", default=None,
                         choices=("thread", "process"),
                         help="communicator substrate for --atm-ranks mode: "

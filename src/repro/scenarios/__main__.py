@@ -134,11 +134,12 @@ def cmd_run(args) -> int:
                     ts_global_k_mean=sum(ts) / len(ts),
                     ts_spread_k=max(ts) - min(ts))
     else:
+        from repro.parallel.coupled import PoolLayout
         final = state_metrics(harness.model, result.state)
         final.pop("mean_ps_pa", None)
         body.update(substrate=result.concurrent[-1].substrate
                     if result.concurrent else plan.substrate,
-                    world_size=plan.n_atm + 1 + plan.n_ocn,
+                    world_size=PoolLayout(plan.n_atm, plan.n_ocn).world_size,
                     nsteps=result.steps,
                     wall_seconds=result.wall_seconds,
                     hidden_fraction=result.hidden_fraction,
@@ -233,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("thread", "process"),
                     help="drive the concurrent rank-pool driver")
     rp.add_argument("--atm-ranks", type=int, default=1)
-    rp.add_argument("--ocn-ranks", type=int, default=1)
+    rp.add_argument("--ocn-ranks", type=int, default=1,
+                    help="ocean ranks; must be 1: the ocean call is not "
+                         "decomposed, so extra ranks would only idle")
     rp.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                     help="stream bitwise-resumable checkpoints here")
     rp.add_argument("--checkpoint-days", type=float, default=0.5,

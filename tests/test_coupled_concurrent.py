@@ -7,7 +7,9 @@ operation order; the per-rank profiles must merge into one coherent
 profile; the rank arenas must stay disjoint; a mis-tagged coupler
 exchange with two active pools must be diagnosed as a deadlock naming
 both pools' waiting ranks; and the calibrated event-simulator prediction
-must track the functional pool-split speedup.
+must track the functional pool-split speedup.  The coupler runs on
+atmosphere rank 0, so the only world-level traffic is the SST/forcing
+exchange with the ocean rank.
 """
 
 import time
@@ -19,10 +21,8 @@ from repro.core import FoamModel
 from repro.core import test_config as tiny_config
 from repro.parallel import DeadlockError, resolve_substrate, run_ranks
 from repro.parallel.coupled import (
-    TAG_ATM_STATE,
     TAG_FORCING,
     TAG_SST,
-    TAG_SURFACE,
     PoolLayout,
     run_concurrent_coupled,
 )
@@ -67,7 +67,7 @@ def serial(cfg):
 
 @pytest.fixture(scope="module")
 def concurrent(cfg):
-    """The same NSTEPS on disjoint pools (2 atm + 1 coupler + 1 ocean)."""
+    """The same NSTEPS on disjoint pools (2 atm, rank 0 coupling, + 1 ocean)."""
     return run_concurrent_coupled(config=cfg, nsteps=NSTEPS, layout=LAYOUT,
                                   profile=True)
 
@@ -80,18 +80,20 @@ def _assert_bitwise(a, b, label):
 
 
 def test_layout_roles():
-    lay = PoolLayout(n_atm=3, n_ocn=2)
-    assert lay.world_size == 6
+    lay = PoolLayout(n_atm=3, n_ocn=1)
+    assert lay.world_size == 4
     assert lay.atm_ranks == (0, 1, 2)
-    assert lay.cpl_rank == 3
-    assert lay.ocn_ranks == (4, 5)
-    assert lay.ocn_leader == 4
-    assert [lay.role_of(r) for r in range(6)] == \
-        ["atm", "atm", "atm", "cpl", "ocn", "ocn"]
+    assert lay.ocn_ranks == (3,)
+    assert lay.ocn_leader == 3
+    assert [lay.role_of(r) for r in range(4)] == \
+        ["atm", "atm", "atm", "ocn"]
     with pytest.raises(ValueError):
-        lay.role_of(6)
+        lay.role_of(4)
     with pytest.raises(ValueError):
         PoolLayout(n_atm=0)
+    # The ocean call is not decomposed: extra ocean ranks would only idle.
+    with pytest.raises(ValueError, match="idle"):
+        PoolLayout(n_atm=2, n_ocn=2)
 
 
 def test_atmosphere_trajectory_bitwise(serial, concurrent):
@@ -160,6 +162,56 @@ def test_merged_profile_structure(concurrent):
         max(p.wall_seconds for p in concurrent.profiles))
 
 
+# Two ocean calls plus one step: the paper's 2-rank layout on forked ranks.
+ONE_ATM_STEPS = 13
+
+
+@pytest.fixture(scope="module")
+def one_atm_process(cfg):
+    model = FoamModel(cfg)
+    state = model.initial_state()
+    for _ in range(ONE_ATM_STEPS):
+        state = model.coupled_step(state)
+    result = run_concurrent_coupled(config=cfg, nsteps=ONE_ATM_STEPS,
+                                    layout=PoolLayout(n_atm=1, n_ocn=1),
+                                    substrate="process")
+    return {"model": model, "serial": state, "result": result}
+
+
+def test_one_atm_rank_bitwise(one_atm_process):
+    s, c = one_atm_process["serial"], one_atm_process["result"]
+    assert c.layout.world_size == 2
+    for f in ("vort", "div", "temp", "lnps", "q"):
+        _assert_bitwise(getattr(c.state.atm_curr, f),
+                        getattr(s.atm_curr, f), f"atm_curr.{f}")
+    _assert_bitwise(c.state.ocean.temp, s.ocean.temp, "ocean.temp")
+    _assert_bitwise(c.state.coupler.land.soil_temp, s.coupler.land.soil_temp,
+                    "soil_temp")
+    _assert_bitwise(c.sst, one_atm_process["model"].ocean.sst(s.ocean), "sst")
+
+
+def test_one_atm_rank_traffic(one_atm_process):
+    """Point-to-point: the initial SST, then forcing + SST per ocean call."""
+    c = one_atm_process["result"]
+    n_calls = ONE_ATM_STEPS // 6
+    assert n_calls == 2
+    sends = sum(st.op_msgs.get("send", 0) for st in c.comm_stats)
+    assert sends == 1 + 2 * n_calls
+    # Nothing else but the pool split and the start barrier moves.
+    assert {op for st in c.comm_stats for op in st.op_msgs} <= \
+        {"send", "split", "barrier"}
+    # The ocean rank sends the initial SST plus one per call.
+    assert c.comm_stats[c.layout.ocn_leader].op_msgs["send"] == 1 + n_calls
+
+
+def test_process_results_carry_no_arena(one_atm_process):
+    c = one_atm_process["result"]
+    assert c.substrate == "process"
+    assert c.workspaces == []
+    assert [st["rank"] for st in c.ws_stats] == [0, 1]
+    assert all(st["hits"] + st["misses"] > 0 for st in c.ws_stats)
+
+
 def test_overlap_accounting(concurrent):
     assert concurrent.ocean_busy_seconds > 0.0
     assert 0.0 <= concurrent.overlap_seconds <= concurrent.ocean_busy_seconds
@@ -170,6 +222,9 @@ def test_overlap_accounting(concurrent):
 
 def test_workspace_arenas_disjoint(concurrent):
     from repro.backend import arenas_disjoint
+    if concurrent.substrate == "process":
+        pytest.skip("forked ranks' arenas live in separate address spaces "
+                    "and are not shipped back")
     assert len(concurrent.workspaces) == LAYOUT.world_size
     assert len({id(w) for w in concurrent.workspaces}) == LAYOUT.world_size
     assert arenas_disjoint(concurrent.workspaces)
@@ -189,7 +244,12 @@ def test_eventsim_prediction_tracks_functional(serial, concurrent, cfg):
                                                    n_atm_ranks=LAYOUT.n_atm)
     assert conc_costs.transpose_seconds == 0.0
     assert conc_costs.dynamics_seconds > 0.0
-    assert conc_costs.coupler_exposed_seconds is not None
+    # The coupler runs on atmosphere rank 0, on the pool's critical path:
+    # scaled by the rank count, so the simulator's divide-across-ranks
+    # (its in-atmosphere coupler) charges the full per-step cost.
+    assert conc_costs.coupler_seconds == pytest.approx(
+        concurrent.profile.total_inclusive("coupler") * LAYOUT.n_atm
+        / NSTEPS)
     atm = AtmosphereCost(nlat=cfg.atm_nlat, nlon=cfg.atm_nlon,
                          nlev=cfg.atm_nlev, mmax=cfg.atm_mmax, dt=cfg.atm_dt)
     ocn = OceanCost(nx=cfg.ocn_nx, ny=cfg.ocn_ny, nlev=cfg.ocn_nlev,
@@ -207,21 +267,30 @@ def test_eventsim_prediction_tracks_functional(serial, concurrent, cfg):
         f"functional {functional:.3f} vs predicted {pred['speedup']:.3f}"
 
 
-def test_mistagged_coupler_exchange_deadlocks_both_pools():
-    """A wrong-tag FORCING send wedges both pools; the report names them."""
-    layout = PoolLayout(n_atm=2, n_ocn=1)
+def _mistagged_forcing_worker(layout):
+    """Rank body of the 2-pool exchange with the forcing sent under TAG_SST."""
 
     def worker(comm):
         role = layout.role_of(comm.rank)
-        if role == "atm":
-            # Both atmosphere ranks wait for a surface that never comes.
-            return comm.recv(layout.cpl_rank, TAG_SURFACE)
-        if role == "cpl":
+        pool = comm.split(0 if role == "atm" else 1)
+        if role == "ocn":
+            return comm.recv(layout.atm_ranks[0], TAG_FORCING)
+        if pool.rank == 0:
             # Mis-tagged: the forcing goes out under TAG_SST, so the ocean
-            # (waiting on TAG_FORCING) never matches it.
+            # (waiting on TAG_FORCING) never matches it; the leader then
+            # waits for an SST that never comes.
             comm.send({"taux": np.zeros(3)}, layout.ocn_leader, TAG_SST)
-            return comm.recv(layout.atm_ranks[0], TAG_ATM_STATE)
-        return comm.recv(layout.cpl_rank, TAG_FORCING)
+            return comm.recv(layout.ocn_leader, TAG_SST)
+        # The rest of the pool waits for the leader's surface broadcast.
+        return pool.bcast(None)
+
+    return worker
+
+
+def test_mistagged_coupler_exchange_deadlocks_both_pools():
+    """A wrong-tag FORCING send wedges both pools; the report names them."""
+    layout = PoolLayout(n_atm=2, n_ocn=1)
+    worker = _mistagged_forcing_worker(layout)
 
     t0 = time.monotonic()
     with pytest.raises(DeadlockError) as excinfo:
@@ -230,14 +299,16 @@ def test_mistagged_coupler_exchange_deadlocks_both_pools():
     assert elapsed < 1.0, f"deadlock diagnosis took {elapsed:.1f}s"
 
     report = excinfo.value.report
-    # Every rank of both pools (and the coupler) is named as blocked.
-    assert set(report.ranks) == {0, 1, 2, 3}
+    # Every rank of both pools is named as blocked.
+    assert set(report.ranks) == {0, 1, 2}
     by_rank = {b.rank: b for b in report.blocked}
-    for r in layout.atm_ranks:
-        assert by_rank[r].peer == layout.cpl_rank
-        assert by_rank[r].tag == TAG_SURFACE
-    assert by_rank[layout.ocn_leader].peer == layout.cpl_rank
-    assert by_rank[layout.ocn_leader].tag == TAG_FORCING
+    leader, ocn = layout.atm_ranks[0], layout.ocn_leader
+    assert by_rank[leader].peer == ocn
+    assert by_rank[leader].tag == TAG_SST
+    assert by_rank[1].peer == leader
+    assert by_rank[1].op == "bcast"
+    assert by_rank[ocn].peer == leader
+    assert by_rank[ocn].tag == TAG_FORCING
 
 
 def test_rejects_more_atm_ranks_than_latitudes(cfg):

@@ -31,13 +31,7 @@ from repro.parallel import (
     run_ranks,
     transpose_forward,
 )
-from repro.parallel.coupled import (
-    TAG_ATM_STATE,
-    TAG_FORCING,
-    TAG_SST,
-    TAG_SURFACE,
-    PoolLayout,
-)
+from repro.parallel.coupled import TAG_FORCING, TAG_SST, PoolLayout
 
 pytestmark = pytest.mark.parallel
 
@@ -305,14 +299,17 @@ def test_process_mistagged_coupler_exchange_deadlock_report():
 
     def worker(comm):
         role = layout.role_of(comm.rank)
-        if role == "atm":
-            return comm.recv(layout.cpl_rank, TAG_SURFACE)
-        if role == "cpl":
+        pool = comm.split(0 if role == "atm" else 1)
+        if role == "ocn":
+            return comm.recv(layout.atm_ranks[0], TAG_FORCING)
+        if pool.rank == 0:
             # Mis-tagged: the forcing goes out under TAG_SST, so the ocean
-            # (waiting on TAG_FORCING) never matches it.
+            # (waiting on TAG_FORCING) never matches it; the leader then
+            # waits for an SST that never comes.
             comm.send({"taux": np.zeros(3)}, layout.ocn_leader, TAG_SST)
-            return comm.recv(layout.atm_ranks[0], TAG_ATM_STATE)
-        return comm.recv(layout.cpl_rank, TAG_FORCING)
+            return comm.recv(layout.ocn_leader, TAG_SST)
+        # The rest of the pool waits for the leader's surface broadcast.
+        return pool.bcast(None)
 
     t0 = time.monotonic()
     with pytest.raises(DeadlockError) as excinfo:
@@ -322,14 +319,17 @@ def test_process_mistagged_coupler_exchange_deadlock_report():
     assert elapsed < 1.0, f"deadlock diagnosis took {elapsed:.1f}s"
 
     report = excinfo.value.report
-    assert set(report.ranks) == {0, 1, 2, 3}
+    assert set(report.ranks) == {0, 1, 2}
     by_rank = {b.rank: b for b in report.blocked}
-    for r in layout.atm_ranks:
-        assert by_rank[r].peer == layout.cpl_rank
-        assert by_rank[r].tag == TAG_SURFACE
-        assert by_rank[r].op == "recv"
-    assert by_rank[layout.ocn_leader].peer == layout.cpl_rank
-    assert by_rank[layout.ocn_leader].tag == TAG_FORCING
+    leader, ocn = layout.atm_ranks[0], layout.ocn_leader
+    assert by_rank[leader].peer == ocn
+    assert by_rank[leader].tag == TAG_SST
+    assert by_rank[leader].op == "recv"
+    assert by_rank[1].peer == leader
+    assert by_rank[1].op == "bcast"
+    assert by_rank[ocn].peer == leader
+    assert by_rank[ocn].tag == TAG_FORCING
+    assert by_rank[ocn].op == "recv"
 
 
 def test_process_faults_thread_through_collectives():
