@@ -1,18 +1,18 @@
-"""Fused kernel-plan benchmark (ISSUE 10).
+"""Spectral-transform section benchmark.
 
 Headline number: **fused vs unfused speedup on the batched spectral
 transform section** at nens=16 on the tier-1 test grid.  "Fused" is the
-:class:`~repro.backend.kernels.SpectralKernelPlan` path the model runs by
-default — stacked Legendre einsums over all (level, member) slices at once,
+:class:`~repro.atmosphere.spectral.SpectralTransform` path the model runs —
+stacked Legendre einsums over all (level, member) slices at once,
 workspace-resident intermediates, one irfft per direction pair.  "Unfused"
-is the seed-era formulation those plans replaced: a python loop over every
-(level, member) slice calling the naive 2-D reference kernels
-(``analyze_ref`` & co — the same oracles the bitwise tests pin against).
+is the naive formulation: a python loop over every (level, member) slice
+calling the 2-D reference kernels (``analyze_ref`` & co — the same oracles
+the bitwise tests pin against).
 
-Also reports the end-to-end coupled-day wall with ``FOAM_FUSED`` on vs off
-(the full-model effect is diluted by physics/ocean/coupler time, so it is
-reported, not gated), and — when torch is importable — a per-backend
-dimension timing the same fused section under ``FOAM_BACKEND=torch``.
+Also reports, when torch is importable, a per-backend dimension timing
+the same fused section under ``FOAM_BACKEND=torch``.  The section's share
+of a coupled day is tracked by the repo benchmark's per-layer ledger,
+not here.
 
 Persists ``BENCH_kernels.json`` (set ``BENCH_KERNELS_PATH`` to move it):
 the machine-checkable record that the fused spectral section beats the
@@ -29,7 +29,6 @@ from conftest import report
 from repro.atmosphere.spectral import SpectralTransform, Truncation
 from repro.backend import get_backend
 from repro.backend import kernels as K
-from repro.core import FoamModel
 # Alias keeps pytest from collecting the config factory as a test.
 from repro.core.config import test_config as _test_config
 
@@ -127,36 +126,6 @@ def _compare_section(nens: int, reps: int) -> dict:
     }
 
 
-def _coupled_day_wall() -> dict:
-    """End-to-end coupled day, FOAM_FUSED on vs off (reported, not gated)."""
-    steps = 6 if _fast() else 24
-    walls = {}
-    prior = os.environ.get("FOAM_FUSED")
-    try:
-        for label, value in (("fused", "1"), ("unfused", "0")):
-            os.environ["FOAM_FUSED"] = value
-            cfg = _test_config()
-            cfg.backend = "numpy"
-            model = FoamModel(cfg)
-            state = model.initial_state()
-            state = model.coupled_step(state)       # warm caches
-            t0 = time.perf_counter()
-            for _ in range(steps):
-                state = model.coupled_step(state)
-            walls[label] = time.perf_counter() - t0
-    finally:
-        if prior is None:
-            os.environ.pop("FOAM_FUSED", None)
-        else:
-            os.environ["FOAM_FUSED"] = prior
-    return {
-        "steps": steps,
-        "fused_seconds": walls["fused"],
-        "unfused_seconds": walls["unfused"],
-        "speedup": walls["unfused"] / walls["fused"],
-    }
-
-
 def _torch_section() -> dict | None:
     """The fused section under the torch backend, when torch is present."""
     try:
@@ -188,7 +157,6 @@ def test_kernel_plan_speedup(benchmark):
         else:
             runs[str(nens)] = _compare_section(nens, reps)
 
-    day = _coupled_day_wall()
     torch_run = _torch_section()
 
     gate = runs[str(GATE_NENS)]["speedup"]
@@ -206,7 +174,6 @@ def test_kernel_plan_speedup(benchmark):
         "nens_sweep": list(NENS_SWEEP),
         "gate": {"nens": GATE_NENS, "speedup": gate, "floor": floor},
         "runs": runs,
-        "coupled_day": day,
         "torch": torch_run,
     }
     with open(out_path, "w") as fh:
@@ -221,20 +188,14 @@ def test_kernel_plan_speedup(benchmark):
                      f"{r['unfused_seconds']:.4f}"))
         rows.append((f"nens={nens} speedup", ">= 1.5x @ 16",
                      f"{r['speedup']:.2f}x"))
-    rows.append(("coupled day fused s", "< unfused",
-                 f"{day['fused_seconds']:.3f}"))
-    rows.append(("coupled day unfused s", "baseline",
-                 f"{day['unfused_seconds']:.3f}"))
-    rows.append(("coupled day speedup", "report only",
-                 f"{day['speedup']:.2f}x"))
     if torch_run:
         rows.append(("torch fused section s", "report only",
                      f"{torch_run['fused_seconds']:.4f}"))
     rows.append(("kernels artifact", "BENCH_kernels.json", out_path))
-    report(f"Kernel plans: fused vs unfused (test grid, {reps} reps)", rows)
+    report(f"Spectral section: fused vs unfused (test grid, {reps} reps)", rows)
 
-    # ISSUE 10 acceptance: the fused batched spectral section beats the
-    # unfused per-slice loop by >= 1.5x at nens=16 on the tier-1 grid.
+    # The fused batched spectral section beats the unfused per-slice loop
+    # by >= 1.5x at nens=16 on the tier-1 grid.
     assert gate >= floor, (
         f"nens={GATE_NENS} fused speedup {gate:.2f}x below {floor}x")
     # Fusing must never lose to the unfused loop at any batch size.

@@ -36,7 +36,6 @@ from repro.backend import (
     get_workspace,
     policy_from_name,
 )
-from repro.backend.kernels import SpectralKernelPlan, fused_enabled
 from repro.perf.profiler import profiled
 from repro.util.constants import EARTH_RADIUS
 
@@ -254,9 +253,14 @@ def clear_legendre_plans() -> None:
 class SpectralTransform:
     """Grid <-> spectral transform engine for one (nlat, nlon, truncation).
 
-    Precomputes Legendre tables once; all transforms are einsum/FFT calls
-    with no Python-level loops over latitude or wavenumber (the guides'
-    vectorization rule — these are the model's innermost kernels).
+    Precomputes Legendre tables once; each transform is a few large einsum
+    and FFT calls over the whole batch of leading (level, member) axes,
+    dispatched through the :class:`ArrayBackend`, with no Python-level
+    loops over latitude, wavenumber or level.  Intermediates live in the
+    workspace arena, paired fields share one inverse FFT, and inverse-FFT
+    pads are zeroed once.  On the NumPy float64 path every transform is
+    bitwise identical per slice to the naive ``*_ref`` oracles in
+    :mod:`repro.backend.kernels`.
     """
 
     def __init__(self, nlat: int, nlon: int, trunc: Truncation,
@@ -307,11 +311,20 @@ class SpectralTransform:
         self._invlap = inv64.astype(fdt, copy=False)
         self._rcos = (radius * np.cos(self.lats)).astype(fdt, copy=False)[:, None]
 
-        # Fused kernel plan: the transforms above as few large
-        # backend-dispatchable calls (FOAM_FUSED=0 falls back to the
-        # unfused per-call formulation kept in the methods below).
-        self.backend = get_backend(backend)
-        self._plan = SpectralKernelPlan(self)
+        # Backend dispatch: the transforms issue their contractions, FFTs
+        # and large elementwise chains through the backend's compute ops.
+        # The NumPy backend hands back these very tables; torch wraps them
+        # zero-copy (copying only the read-only shared plan tables).
+        self.backend = bk = get_backend(backend)
+        self._bk_pbar = bk.asarray(self.pbar)
+        self._bk_hbar = bk.asarray(self.hbar)
+        self._bk_wp = bk.asarray(self._wp)
+        self._bk_wh = bk.asarray(self._wh)
+        # A rhomboidal truncation retains every slot: its mask multiplies
+        # are identity ops and are skipped (escaping results still copy).
+        self._allones = bool(self._mask.all())
+        self._cos = self.coslat[:, None]
+        self._oc2 = (1.0 / (self.coslat ** 2))[:, None]
 
     # ------------------------------------------------------------------
     @property
@@ -339,65 +352,84 @@ class SpectralTransform:
     # ------------------------------------------------------------------
     # core transforms
     # ------------------------------------------------------------------
-    def _fourier(self, grid: np.ndarray) -> np.ndarray:
-        """Forward FFT in longitude; returns (nlat, nm) complex, 1/nlon norm."""
-        f = np.fft.rfft(grid, axis=-1) / self.nlon
-        return f[..., : self.trunc.nm]
+    def _irfft_stacked(self, name: str, fms) -> np.ndarray:
+        """One inverse FFT over ``len(fms)`` stacked Fourier fields.
 
-    def _inverse_fourier(self, fm: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`_fourier`: (nlat, nm) complex -> (nlat, nlon) real."""
-        ws = get_workspace()
-        full = ws.zeros("spectral.ifft_pad",
-                        fm.shape[:-1] + (self.nlon // 2 + 1,), fm.dtype)
-        full[..., : self.trunc.nm] = fm
-        full *= self.nlon
-        return np.fft.irfft(full, n=self.nlon, axis=-1)
+        The pad buffer is zeroed once at allocation; each call rewrites
+        only the live ``nm`` columns (folding the ``* nlon``
+        denormalization into the copy), so the truncation tail stays zero
+        without a per-call refill.  The name carries ``nm`` because two
+        transforms with the same grid but different truncations must not
+        share a pad (their zero tails start at different columns).
+        """
+        nm = self.trunc.nm
+        fm0 = fms[0]
+        full = get_workspace().zeros_once(
+            f"{name}.m{nm}", (len(fms),) + fm0.shape[:-1] + (self.nlon // 2 + 1,),
+            fm0.dtype)
+        for i, fm in enumerate(fms):
+            self.backend.multiply(fm, self.nlon, out=full[i][..., :nm])
+        return self.backend.irfft(full, n=self.nlon, axis=-1)
 
     @profiled("spectral.analyze")
     def analyze(self, grid: np.ndarray) -> np.ndarray:
         """Grid (..., nlat, nlon) -> spectral coefficients (..., nm, nk).
 
-        Leading (batch/ensemble) axes pass straight through: the quadrature
-        einsum contracts latitude per batch member with the same summation
-        order as the unbatched call, so batched results are bitwise
-        identical to member-at-a-time calls.
+        Leading (level/member) axes pass straight through: the quadrature
+        einsum contracts latitude per slice with the same summation order
+        as the unbatched call, so batched results are bitwise identical to
+        slice-at-a-time calls.
         """
-        if fused_enabled():
-            return self._plan.analyze(grid)
-        fm = self._fourier(grid)
-        ws = get_workspace()
-        spec = np.einsum("...jm,jmk->...mk", fm, self._wp,
-                         out=ws.empty("spectral.analyze.spec",
-                                      fm.shape[:-2] + self.spec_shape,
-                                      np.result_type(fm, self._wp)))
+        bk = self.backend
+        fm = bk.rfft(grid, axis=-1)[..., : self.trunc.nm]
+        # Normalize only the retained columns of the fresh FFT output.
+        bk.divide(fm, self.nlon, out=fm)
+        spec = bk.einsum("...jm,jmk->...mk", fm, self._bk_wp,
+                         out=get_workspace().empty(
+                             "spectral.an.spec", grid.shape[:-2] + self.spec_shape,
+                             np.result_type(fm.dtype, self._wp.dtype)))
+        if self._allones:
+            return spec.copy()
         return spec * self._mask
 
     @profiled("spectral.synthesize")
     def synthesize(self, spec: np.ndarray) -> np.ndarray:
         """Spectral (..., nm, nk) -> grid (..., nlat, nlon), real."""
-        if fused_enabled():
-            return self._plan.synthesize(spec)
         ws = get_workspace()
-        masked = np.multiply(spec, self._mask,
-                             out=ws.empty("spectral.synth.masked",
-                                          spec.shape, spec.dtype))
-        fm = np.einsum("...mk,jmk->...jm", masked, self.pbar,
-                       out=ws.empty("spectral.synth.fm",
-                                    spec.shape[:-2] + (self.nlat, self.trunc.nm),
-                                    np.result_type(spec, self.pbar)))
-        return self._inverse_fourier(fm)
+        masked = spec
+        if not self._allones:
+            masked = np.multiply(spec, self._mask,
+                                 out=ws.empty("spectral.syn.masked",
+                                              spec.shape, spec.dtype))
+        fm = self.backend.einsum(
+            "...mk,jmk->...jm", masked, self._bk_pbar,
+            out=ws.empty("spectral.syn.fm",
+                         spec.shape[:-2] + (self.nlat, self.trunc.nm),
+                         np.result_type(spec.dtype, self.pbar.dtype)))
+        return self._irfft_stacked("spectral.syn.pad", (fm,))[0]
 
     @profiled("spectral.synthesize")
     def synthesize_many(self, *specs: np.ndarray) -> tuple:
-        """Synthesize several same-shape spectral fields at once.
+        """Several same-shape spectral fields through ONE einsum + irfft.
 
-        The fused plan stacks them through a single einsum + inverse FFT;
-        the unfused fallback is plain per-field :meth:`synthesize`.  Each
-        returned grid is bitwise identical either way.
+        Each returned grid is bitwise identical to :meth:`synthesize` of
+        that field on its own.
         """
-        if fused_enabled():
-            return self._plan.synthesize_many(*specs)
-        return tuple(self.synthesize(s) for s in specs)
+        n = len(specs)
+        s0 = specs[0]
+        ws = get_workspace()
+        sp = ws.empty(f"spectral.syn{n}.stack", (n,) + s0.shape, s0.dtype)
+        for i, s in enumerate(specs):
+            np.copyto(sp[i], s)
+        if not self._allones:
+            np.multiply(sp, self._mask, out=sp)
+        fm = self.backend.einsum(
+            "...mk,jmk->...jm", sp, self._bk_pbar,
+            out=ws.empty(f"spectral.syn{n}.fm",
+                         (n,) + s0.shape[:-2] + (self.nlat, self.trunc.nm),
+                         np.result_type(s0.dtype, self.pbar.dtype)))
+        g = self._irfft_stacked(f"spectral.syn{n}.pad", (fm,))[0]
+        return tuple(g[i] for i in range(n))
 
     # ------------------------------------------------------------------
     # differential operators (spectral space)
@@ -423,41 +455,47 @@ class SpectralTransform:
         """Grid winds (u, v) from spectral relative vorticity and divergence.
 
         Solves psi = del^-2 zeta, chi = del^-2 D, then
-        U = u cos(lat) = (im chi Pbar - psi H)/a summed over n, likewise V.
+        U = u cos(lat) = (im chi Pbar - psi H)/a summed over n, likewise V;
+        both components share one inverse FFT.
         """
-        if fused_enabled():
-            return self._plan.uv_from_vortdiv(vort_spec, div_spec)
+        bk = self.backend
         ws = get_workspace()
-        sdt = np.result_type(vort_spec, self._invlap)
         shape = vort_spec.shape
-        psi = np.multiply(vort_spec, self._invlap,
+        sdt = np.result_type(vort_spec.dtype, self._invlap.dtype)
+        psi = bk.multiply(vort_spec, self._invlap,
                           out=ws.empty("spectral.uv.psi", shape, sdt))
-        chi = np.multiply(div_spec, self._invlap,
+        chi = bk.multiply(div_spec, self._invlap,
                           out=ws.empty("spectral.uv.chi", shape, sdt))
-        t1 = np.multiply(self._im, chi, out=ws.empty("spectral.uv.t1", shape, sdt))
-        t1 = np.multiply(t1, self._mask, out=t1)
-        t2 = np.multiply(psi, self._mask, out=ws.empty("spectral.uv.t2", shape, sdt))
+        t1 = bk.multiply(self._im, chi,
+                         out=ws.empty("spectral.uv.t1", shape, sdt))
+        t2 = psi
+        if not self._allones:
+            np.multiply(t1, self._mask, out=t1)
+            t2 = np.multiply(psi, self._mask,
+                             out=ws.empty("spectral.uv.t2", shape, sdt))
         fm_shape = shape[:-2] + (self.nlat, self.trunc.nm)
-        fdt = np.result_type(sdt, self.pbar)
-        e1 = np.einsum("...mk,jmk->...jm", t1, self.pbar,
-                       out=ws.empty("spectral.uv.ufm", fm_shape, fdt))
-        e2 = np.einsum("...mk,jmk->...jm", t2, self.hbar,
+        fdt = np.result_type(sdt, self.pbar.dtype)
+        e1 = bk.einsum("...mk,jmk->...jm", t1, self._bk_pbar,
+                       out=ws.empty("spectral.uv.e1", fm_shape, fdt))
+        e2 = bk.einsum("...mk,jmk->...jm", t2, self._bk_hbar,
                        out=ws.empty("spectral.uv.e2", fm_shape, fdt))
-        u_fm = np.subtract(e1, e2, out=e1)
-        u_fm /= self.radius
-        t1 = np.multiply(self._im, psi, out=t1)
-        t1 = np.multiply(t1, self._mask, out=t1)
-        t2 = np.multiply(chi, self._mask, out=t2)
-        e3 = np.einsum("...mk,jmk->...jm", t1, self.pbar,
-                       out=ws.empty("spectral.uv.vfm", fm_shape, fdt))
-        e4 = np.einsum("...mk,jmk->...jm", t2, self.hbar,
+        u_fm = bk.subtract(e1, e2, out=e1)
+        bk.divide(u_fm, self.radius, out=u_fm)
+        bk.multiply(self._im, psi, out=t1)
+        t2 = chi
+        if not self._allones:
+            np.multiply(t1, self._mask, out=t1)
+            t2 = np.multiply(chi, self._mask,
+                             out=ws.empty("spectral.uv.t2b", shape, sdt))
+        e3 = bk.einsum("...mk,jmk->...jm", t1, self._bk_pbar,
+                       out=ws.empty("spectral.uv.e3", fm_shape, fdt))
+        e4 = bk.einsum("...mk,jmk->...jm", t2, self._bk_hbar,
                        out=ws.empty("spectral.uv.e4", fm_shape, fdt))
-        v_fm = np.add(e3, e4, out=e3)
-        v_fm /= self.radius
-        big_u = self._inverse_fourier(u_fm)
-        big_v = self._inverse_fourier(v_fm)
-        cos = self.coslat[:, None]
-        return big_u / cos, big_v / cos
+        v_fm = bk.add(e3, e4, out=e3)
+        bk.divide(v_fm, self.radius, out=v_fm)
+        g = self._irfft_stacked("spectral.uv.pad", (u_fm, v_fm))
+        bk.divide(g, self._cos, out=g)
+        return g[0], g[1]
 
     @profiled("spectral.vortdiv_from_uv")
     def vortdiv_from_uv(self, u: np.ndarray, v: np.ndarray
@@ -468,29 +506,37 @@ class SpectralTransform:
         D_n^m    = (1/a) sum_j w_j/2 [ im U_m Pbar - V_m H ] / (1-mu^2)
         which never differentiates on the grid (Bourke 1972).
         """
-        if fused_enabled():
-            return self._plan.vortdiv_from_uv(u, v)
+        bk = self.backend
         ws = get_workspace()
-        cos = self.coslat[:, None]
-        over_c2 = 1.0 / (cos[:, 0] ** 2)
-        u_fm = self._fourier(u * cos) * over_c2[:, None]
-        v_fm = self._fourier(v * cos) * over_c2[:, None]
-        sdt = np.result_type(u_fm, self._wp)
-        sp_shape = u_fm.shape[:-2] + self.spec_shape
-        e1 = np.einsum("...jm,jmk->...mk", v_fm, self._wp,
+        nm = self.trunc.nm
+        uc = bk.multiply(u, self._cos,
+                         out=ws.empty("spectral.vd.uc", u.shape, u.dtype))
+        vc = bk.multiply(v, self._cos,
+                         out=ws.empty("spectral.vd.vc", v.shape, v.dtype))
+        u_fm = bk.rfft(uc, axis=-1)[..., :nm]
+        v_fm = bk.rfft(vc, axis=-1)[..., :nm]
+        bk.divide(u_fm, self.nlon, out=u_fm)
+        bk.divide(v_fm, self.nlon, out=v_fm)
+        bk.multiply(u_fm, self._oc2, out=u_fm)
+        bk.multiply(v_fm, self._oc2, out=v_fm)
+        sdt = np.result_type(u_fm.dtype, self._wp.dtype)
+        sp_shape = u.shape[:-2] + self.spec_shape
+        e1 = bk.einsum("...jm,jmk->...mk", v_fm, self._bk_wp,
                        out=ws.empty("spectral.vd.e1", sp_shape, sdt))
-        e2 = np.einsum("...jm,jmk->...mk", u_fm, self._wh,
+        e2 = bk.einsum("...jm,jmk->...mk", u_fm, self._bk_wh,
                        out=ws.empty("spectral.vd.e2", sp_shape, sdt))
-        e1 = np.multiply(self._im, e1, out=e1)
-        vort = np.add(e1, e2, out=e1)
-        vort /= self.radius
-        e3 = np.einsum("...jm,jmk->...mk", u_fm, self._wp,
+        bk.multiply(self._im, e1, out=e1)
+        vort = bk.add(e1, e2, out=e1)
+        bk.divide(vort, self.radius, out=vort)
+        e3 = bk.einsum("...jm,jmk->...mk", u_fm, self._bk_wp,
                        out=ws.empty("spectral.vd.e3", sp_shape, sdt))
-        e4 = np.einsum("...jm,jmk->...mk", v_fm, self._wh,
+        e4 = bk.einsum("...jm,jmk->...mk", v_fm, self._bk_wh,
                        out=ws.empty("spectral.vd.e4", sp_shape, sdt))
-        e3 = np.multiply(self._im, e3, out=e3)
-        div = np.subtract(e3, e4, out=e3)
-        div /= self.radius
+        bk.multiply(self._im, e3, out=e3)
+        div = bk.subtract(e3, e4, out=e3)
+        bk.divide(div, self.radius, out=div)
+        if self._allones:
+            return vort.copy(), div.copy()
         return vort * self._mask, div * self._mask
 
     def gradient(self, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -499,24 +545,25 @@ class SpectralTransform:
         df/dx = (1/(a cos)) df/dlambda,  df/dy = (cos/a) df/dmu; the
         meridional part uses the H functions so no finite differencing occurs.
         """
-        if fused_enabled():
-            return self._plan.gradient(spec)
+        bk = self.backend
         ws = get_workspace()
-        t1 = np.multiply(spec, self._im,
+        t1 = bk.multiply(spec, self._im,
                          out=ws.empty("spectral.grad.t1", spec.shape,
-                                      np.result_type(spec, self._im)))
-        t1 = np.multiply(t1, self._mask, out=t1)
-        t2 = np.multiply(spec, self._mask,
-                         out=ws.empty("spectral.grad.t2", spec.shape, spec.dtype))
+                                      np.result_type(spec.dtype, self._im.dtype)))
+        t2 = spec
+        if not self._allones:
+            np.multiply(t1, self._mask, out=t1)
+            t2 = np.multiply(spec, self._mask,
+                             out=ws.empty("spectral.grad.t2", spec.shape, spec.dtype))
         fm_shape = spec.shape[:-2] + (self.nlat, self.trunc.nm)
-        fdt = np.result_type(t1, self.pbar)
-        fx_fm = np.einsum("...mk,jmk->...jm", t1, self.pbar,
+        fdt = np.result_type(t1.dtype, self.pbar.dtype)
+        fx_fm = bk.einsum("...mk,jmk->...jm", t1, self._bk_pbar,
                           out=ws.empty("spectral.grad.fx", fm_shape, fdt))
-        fy_fm = np.einsum("...mk,jmk->...jm", t2, self.hbar,
+        fy_fm = bk.einsum("...mk,jmk->...jm", t2, self._bk_hbar,
                           out=ws.empty("spectral.grad.fy", fm_shape, fdt))
-        fx = self._inverse_fourier(fx_fm) / self._rcos
-        fy = self._inverse_fourier(fy_fm) / self._rcos
-        return fx, fy
+        g = self._irfft_stacked("spectral.grad.pad", (fx_fm, fy_fm))
+        bk.divide(g, self._rcos, out=g)
+        return g[0], g[1]
 
     def spectral_filter(self, spec: np.ndarray, order: int = 4,
                         coefficient: float = 1.0e16, dt: float = 1.0) -> np.ndarray:

@@ -7,9 +7,9 @@ instead of calling ``numpy`` allocation primitives ad hoc:
 * :class:`ArrayBackend` — the array substrate.  The default is NumPy;
   alternates register under a name and are selected with the
   ``FOAM_BACKEND`` environment variable (or explicitly via config).
-  Backends that need an unavailable dependency (torch, cupy) stay
-  registered but raise :class:`BackendUnavailableError` with an
-  actionable message when selected.
+  A backend whose dependency is not installed (torch) stays registered
+  but raises :class:`BackendUnavailableError` with an actionable
+  message when selected.
 * :class:`DTypePolicy` — the precision policy (``float32``/``float64``
   plus the matching complex type), selected with ``FOAM_DTYPE`` and
   threaded through the grid/spectral constructors instead of hard-coded
@@ -35,11 +35,7 @@ from repro.backend.core import (
     get_backend,
     register_backend,
 )
-from repro.backend.kernels import (
-    SpectralKernelPlan,
-    fused_enabled,
-    robert_filter,
-)
+from repro.backend.kernels import robert_filter
 from repro.backend.dtypes import (
     FLOAT32,
     FLOAT64,
@@ -65,5 +61,5 @@ __all__ = [
     "policy_from_name", "set_default_dtype",
     "Workspace", "arenas_disjoint", "get_workspace", "reset_workspaces", "workspace_enabled",
     "workspace_totals",
-    "SpectralKernelPlan", "fused_enabled", "robert_filter",
+    "robert_filter",
 ]

@@ -5,7 +5,7 @@ surface the model needs (``empty``/``zeros``/``asarray``/``to_numpy``).
 The default is NumPy and is always available.  Alternate backends
 register a *factory* under a name; the factory runs (and imports its
 dependency) only when the backend is actually selected, so merely having
-``torch``/``cupy`` entries in the registry costs nothing and a missing
+a ``torch`` entry in the registry costs nothing and a missing
 dependency surfaces as a clear :class:`BackendUnavailableError` instead
 of an ImportError at module import time.
 
@@ -34,8 +34,9 @@ class BackendUnavailableError(RuntimeError):
 class ArrayBackend(Protocol):
     """What a backend must provide for the model's hot paths.
 
-    Beyond allocation, the fused kernel plans
-    (:mod:`repro.backend.kernels`) need the handful of compute ops below.
+    Beyond allocation, the spectral transforms
+    (:class:`~repro.atmosphere.spectral.SpectralTransform`) need the
+    handful of compute ops below.
     Every compute op accepts and returns NumPy arrays at the call
     boundary — a backend is free to execute on its own array type
     internally (the torch backend wraps operands zero-copy via
@@ -48,7 +49,7 @@ class ArrayBackend(Protocol):
 
     @property
     def xp(self) -> Any:
-        """The array-API module (numpy, cupy, ...)."""
+        """The array-API module (numpy, torch, ...)."""
         ...
 
     def empty(self, shape, dtype) -> Any: ...
@@ -59,7 +60,7 @@ class ArrayBackend(Protocol):
 
     def to_numpy(self, arr) -> np.ndarray: ...
 
-    # -- compute ops for the fused kernel plans ------------------------
+    # -- compute ops for the spectral transforms ------------------------
     def einsum(self, subscripts: str, *operands, out=None) -> Any: ...
 
     def matmul(self, a, b, out=None) -> Any: ...
@@ -189,7 +190,7 @@ def _torch_factory() -> ArrayBackend:
         results land either in the caller's ``out`` buffer (same memory)
         or come back as a zero-copy ``.numpy()`` view, so the model's
         NumPy-typed state flows through a coupled day with torch executing
-        the contractions, FFTs and fused elementwise chains.  Results are
+        the contractions, FFTs and elementwise chains.  Results are
         tolerance-close (never bitwise) to the NumPy path: torch's einsum
         and pocketfft-equivalent kernels accumulate in different orders.
         """
@@ -286,79 +287,4 @@ def _torch_factory() -> ArrayBackend:
     return TorchBackend()
 
 
-def _cupy_factory() -> ArrayBackend:
-    try:
-        import cupy  # noqa: F401
-    except ImportError as exc:
-        raise BackendUnavailableError(
-            "FOAM_BACKEND=cupy requested but cupy is not installed; "
-            "install cupy or unset FOAM_BACKEND"
-        ) from exc
-
-    class CupyBackend:  # pragma: no cover - requires cupy installed
-        name = "cupy"
-
-        @property
-        def xp(self):
-            return cupy
-
-        def empty(self, shape, dtype):
-            return cupy.empty(shape, dtype=dtype)
-
-        def zeros(self, shape, dtype):
-            return cupy.zeros(shape, dtype=dtype)
-
-        def asarray(self, arr, dtype=None):
-            return cupy.asarray(arr, dtype=dtype)
-
-        def to_numpy(self, arr):
-            return cupy.asnumpy(arr)
-
-        def einsum(self, subscripts, *operands, out=None):
-            r = cupy.einsum(subscripts, *map(cupy.asarray, operands))
-            if out is None:
-                return r
-            out[...] = cupy.asnumpy(r)
-            return out
-
-        def matmul(self, a, b, out=None):
-            r = cupy.matmul(cupy.asarray(a), cupy.asarray(b))
-            if out is None:
-                return r
-            out[...] = cupy.asnumpy(r)
-            return out
-
-        def rfft(self, x, axis=-1):
-            return cupy.asnumpy(cupy.fft.rfft(cupy.asarray(x), axis=axis))
-
-        def irfft(self, x, n, axis=-1):
-            return cupy.asnumpy(cupy.fft.irfft(cupy.asarray(x), n=n, axis=axis))
-
-        def where(self, cond, a, b):
-            return cupy.asnumpy(cupy.where(cupy.asarray(cond),
-                                           cupy.asarray(a), cupy.asarray(b)))
-
-        def _binary(self, fn, a, b, out):
-            r = fn(cupy.asarray(a), cupy.asarray(b))
-            if out is None:
-                return r
-            out[...] = cupy.asnumpy(r)
-            return out
-
-        def multiply(self, a, b, out=None):
-            return self._binary(cupy.multiply, a, b, out)
-
-        def divide(self, a, b, out=None):
-            return self._binary(cupy.divide, a, b, out)
-
-        def add(self, a, b, out=None):
-            return self._binary(cupy.add, a, b, out)
-
-        def subtract(self, a, b, out=None):
-            return self._binary(cupy.subtract, a, b, out)
-
-    return CupyBackend()
-
-
 register_backend("torch", _torch_factory)
-register_backend("cupy", _cupy_factory)

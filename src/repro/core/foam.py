@@ -31,7 +31,6 @@ from repro.atmosphere.physics import PhysicsSuite
 from repro.atmosphere.physics.radiation import RadiationParams
 from repro.atmosphere.spectral import SpectralTransform, Truncation
 from repro.atmosphere.vertical import VerticalGrid
-from repro.backend.kernels import fused_enabled
 from repro.core.config import FoamConfig, test_config
 from repro.coupler.coupler import CouplerState, FluxCoupler
 from repro.coupler.seaice import SeaIceState
@@ -278,19 +277,11 @@ class FoamModel:
         dt = self.config.atm_dt
         tr = self.transform
         new_curr = curr.copy()
-        if fused_enabled():
-            # One batched transform per tendency instead of a per-level
-            # loop (bitwise identical per slice on the numpy path).
-            new_curr.temp += dt * tr.analyze(dtdt)
-            dv, dd = tr.vortdiv_from_uv(dudt, dvdt)
-            new_curr.vort += dt * dv
-            new_curr.div += dt * dd
-        else:
-            for l in range(self.vgrid.nlev):
-                new_curr.temp[l] += dt * tr.analyze(dtdt[l])
-                dv, dd = tr.vortdiv_from_uv(dudt[l], dvdt[l])
-                new_curr.vort[l] += dt * dv
-                new_curr.div[l] += dt * dd
+        # One batched transform per tendency over every level (and member).
+        new_curr.temp += dt * tr.analyze(dtdt)
+        dv, dd = tr.vortdiv_from_uv(dudt, dvdt)
+        new_curr.vort += dt * dv
+        new_curr.div += dt * dd
         new_curr.q = np.maximum(curr.q + dt * dqdt, 0.0)
         return new_curr
 

@@ -371,15 +371,6 @@ class CommBase:
     def _to_world(self, rank: int) -> int:
         return rank if self._group is None else self._group[rank]
 
-    # Legacy counter aliases (pre-CommStats API).
-    @property
-    def bytes_sent(self) -> int:
-        return self.stats.bytes_sent
-
-    @property
-    def messages_sent(self) -> int:
-        return self.stats.msgs_sent
-
     @contextmanager
     def _op(self, name: str):
         """Operation scope: labels traffic and triggers injected crashes.

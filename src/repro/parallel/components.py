@@ -51,14 +51,14 @@ def parallel_physics(nranks: int, *, temp, q, u, v, pressure, ps,
             wetness=surface.wetness[lo:hi], z0=surface.z0[lo:hi],
             ocean_mask=surface.ocean_mask[lo:hi])
         suite = PhysicsSuite()
-        sent_before = comm.messages_sent
+        sent_before = comm.stats.msgs_sent
         out = suite.compute(
             temp=temp[:, lo:hi], q=q[:, lo:hi], u=u[:, lo:hi], v=v[:, lo:hi],
             pressure=pressure[:, lo:hi], ps=ps[lo:hi],
             geopotential=geopotential[:, lo:hi], dsigma=dsigma,
             surface=sub_surface, dt=dt, time=time,
             lats=lats[lo:hi], lons=lons)
-        physics_messages = comm.messages_sent - sent_before
+        physics_messages = comm.stats.msgs_sent - sent_before
         # Only now gather results (communication belongs to the coupler).
         dtdt = decomp.gather(comm, np.moveaxis(out.dtdt, 0, 1))
         dqdt = decomp.gather(comm, np.moveaxis(out.dqdt, 0, 1))

@@ -42,11 +42,10 @@ def kernel_cache_stats() -> dict:
     profiles) carry the cache counters alongside the section table.
     """
     from repro.atmosphere.spectral import legendre_plan_stats
-    from repro.backend import fused_enabled, workspace_totals
+    from repro.backend import workspace_totals
 
     return {"legendre_plan": legendre_plan_stats(),
-            "workspace": workspace_totals(),
-            "fused": fused_enabled()}
+            "workspace": workspace_totals()}
 
 
 def format_kernel_caches(profile: RunProfile) -> str:
@@ -59,8 +58,7 @@ def format_kernel_caches(profile: RunProfile) -> str:
     req = ws.get("hits", 0) + ws.get("misses", 0)
     hit_rate = ws.get("hits", 0) / req if req else 0.0
     return "\n".join([
-        "kernel caches "
-        f"(fused kernels {'on' if stats.get('fused') else 'off'}):",
+        "kernel caches:",
         f"  legendre plans   {plan.get('builds', 0)} built, "
         f"{plan.get('hits', 0)} cache hits",
         f"  workspace        {ws.get('hits', 0)} hits / "

@@ -48,8 +48,8 @@ HEADLINES: dict[str, dict[str, str]] = {
     "BENCH_ensemble": {
         "gate.speedup": "higher",
     },
-    # The fused-vs-unfused section speedup is dimensionless and travels
-    # between machines; the coupled-day walls are tracked by BENCH_profile.
+    # The batched-vs-reference spectral section speedup is dimensionless
+    # and travels between machines; BENCH_profile tracks the day walls.
     "BENCH_kernels": {
         "gate.speedup": "higher",
     },

@@ -65,7 +65,8 @@ def state_metrics(model: FoamModel, state: FoamState) -> dict:
     return {
         "ts_global_k": float(np.sum(surface.t_sfc * w)),
         "t_atm_k": float(np.sum(diag.temp * wdp) / np.sum(wdp)),
-        "sst_ocean_c": float(np.sum(np.nan_to_num(sst) * oa) / oa_total),
+        "sst_ocean_c": float(np.sum(np.where(model.ocean.mask2d, sst, 0.0) * oa)
+                             / oa_total),
         "ice_fraction": float(
             np.sum(np.where(state.coupler.ice.mask, oa, 0.0)) / oa_total),
         "ocean_ke_j": model.ocean.total_kinetic_energy(state.ocean),
@@ -96,7 +97,8 @@ def ensemble_member_metrics(model: FoamModel, state: FoamState) -> list[dict]:
     ts = np.sum(surface.t_sfc * w, axis=hax)
     t_atm = (np.sum(diag.temp * wdp, axis=(0,) + hax)
              / np.sum(wdp, axis=(0,) + hax))
-    sst_mean = np.sum(np.nan_to_num(sst) * oa, axis=hax) / oa_total
+    sst_mean = (np.sum(np.where(model.ocean.mask2d, sst, 0.0) * oa, axis=hax)
+                / oa_total)
     ice = np.sum(np.where(state.coupler.ice.mask, oa, 0.0), axis=hax) / oa_total
     u, v = model.ocean.total_velocity(state.ocean)       # (L, E, ny, nx)
     vol = model.ocean.dz3d[:, None] * model.ocean.grid.cell_areas()[None, None]

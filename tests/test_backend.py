@@ -120,9 +120,9 @@ class TestBackendRegistry:
 
     def test_registry_lists_optional_backends(self):
         names = available_backends()
-        assert {"numpy", "torch", "cupy"} <= set(names)
+        assert {"numpy", "torch"} <= set(names)
 
-    @pytest.mark.parametrize("name", ["torch", "cupy"])
+    @pytest.mark.parametrize("name", ["torch"])
     def test_missing_dependency_is_actionable(self, name):
         try:
             __import__(name)

@@ -1,12 +1,12 @@
-"""Fused kernel plans: bitwise regression against the unfused oracles.
+"""Spectral transforms: bitwise regression against the ``*_ref`` oracles.
 
-The fused spectral kernels (``repro.backend.kernels``) must be bitwise
-identical on the numpy float64 path to the seed-era unfused formulation —
-the same pinning discipline ``legendre_plan`` uses against its per-m
-reference loop.  Covers serial (2-D) and batched (nlev, nens=3) inputs on
-both truncation kinds, the FOAM_FUSED=0 fallback, the fused elementwise
-chains, and backend-parametrized transform round-trips that skip cleanly
-when torch is not installed.
+The batched transforms of ``SpectralTransform`` must be bitwise identical
+on the numpy float64 path to the naive per-field formulation in
+``repro.backend.kernels`` — the same pinning discipline ``legendre_plan``
+uses against its per-m reference loop.  Covers serial (2-D) and batched
+(nlev, nens=3) inputs on both truncation kinds, the workspace-resident
+elementwise chains, and backend-parametrized transform round-trips that
+skip cleanly when torch is not installed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 from repro.atmosphere.spectral import SpectralTransform, Truncation
 from repro.backend import (
     BackendUnavailableError,
-    fused_enabled,
     get_backend,
     get_workspace,
     robert_filter,
@@ -57,7 +56,7 @@ def fields(tr):
 
 
 # ---------------------------------------------------------------------------
-# fused == unfused oracle, bitwise, serial and batched
+# batched transform == oracle, bitwise, serial and batched
 # ---------------------------------------------------------------------------
 class TestFusedBitwise:
     def test_analyze(self, tr, fields):
@@ -124,35 +123,7 @@ class TestFusedBitwise:
 
 
 # ---------------------------------------------------------------------------
-# FOAM_FUSED=0 fallback == fused path, bitwise
-# ---------------------------------------------------------------------------
-class TestFusedToggle:
-    def test_env_toggle(self, monkeypatch):
-        assert fused_enabled()
-        monkeypatch.setenv("FOAM_FUSED", "0")
-        assert not fused_enabled()
-        monkeypatch.setenv("FOAM_FUSED", "off")
-        assert not fused_enabled()
-        monkeypatch.setenv("FOAM_FUSED", "1")
-        assert fused_enabled()
-
-    def test_unfused_path_bitwise_equal(self, tr, fields, monkeypatch):
-        spec, grid, u, v = fields
-        fused = (tr.analyze(grid), tr.synthesize(spec),
-                 *tr.uv_from_vortdiv(spec, spec * 0.3),
-                 *tr.vortdiv_from_uv(u, v), *tr.gradient(spec),
-                 *tr.synthesize_many(spec, spec * 2.0))
-        monkeypatch.setenv("FOAM_FUSED", "0")
-        unfused = (tr.analyze(grid), tr.synthesize(spec),
-                   *tr.uv_from_vortdiv(spec, spec * 0.3),
-                   *tr.vortdiv_from_uv(u, v), *tr.gradient(spec),
-                   *tr.synthesize_many(spec, spec * 2.0))
-        for f, n in zip(fused, unfused):
-            assert _bitwise(f, n)
-
-
-# ---------------------------------------------------------------------------
-# fused elementwise chains
+# workspace-resident elementwise chains
 # ---------------------------------------------------------------------------
 class TestElementwiseChains:
     def test_robert_filter_scalar(self):

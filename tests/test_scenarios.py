@@ -143,6 +143,28 @@ def test_cross_scenario_ordering():
     assert _clim("slab_ocean")["ocean_ke_j"] == 0.0
 
 
+def test_sst_mean_does_not_hide_ocean_nan():
+    """A NaN in one ocean cell reads NaN in the SST mean, serial and batched."""
+    from repro.core import EnsembleConfig, FoamEnsemble
+    from repro.scenarios.climatology import (
+        ensemble_member_metrics,
+        state_metrics,
+    )
+
+    model = FoamModel(_test_config())
+    state = model.initial_state()
+    j, i = np.argwhere(model.ocean.mask2d)[0]
+    state.ocean.temp[0, j, i] = np.nan
+    assert np.isnan(state_metrics(model, state)["sst_ocean_c"])
+
+    ens = FoamEnsemble(EnsembleConfig(nens=2, base=_test_config()))
+    state = ens.initial_state()
+    state.ocean.temp[0, 0, j, i] = np.nan
+    first, second = ensemble_member_metrics(ens.model, state)
+    assert np.isnan(first["sst_ocean_c"])
+    assert np.isfinite(second["sst_ocean_c"])
+
+
 def test_compare_climatology_flags_problems():
     want = {"ts_global_k": 290.0, "extra_metric": 1.0}
     got = {"ts_global_k": 295.0, "novel_metric": 2.0}

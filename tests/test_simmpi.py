@@ -200,9 +200,9 @@ def test_bytes_accounting():
     def worker(comm):
         if comm.rank == 0:
             comm.send(np.zeros(1000), dest=1)
-            return comm.bytes_sent
+            return comm.stats.bytes_sent
         comm.recv(source=0)
-        return comm.bytes_sent
+        return comm.stats.bytes_sent
 
     out = run_ranks(2, worker)
     assert out[0] == 8000
